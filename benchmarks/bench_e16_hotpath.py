@@ -16,9 +16,9 @@ deterministic: two same-seed runs must agree on every seed-determined
 measurement.
 
 The **fluid arm** runs the same scenario with rate-interval ingest (bulk
-buffer/storage operations on a zero-jitter workload) over the
-calendar-queue scheduler and gates on a >= 10x calls/frame reduction
-against the same merge-base baseline, with its own determinism twin.
+buffer/storage operations on a zero-jitter workload) and gates on a
+>= 10x calls/frame reduction against the same merge-base baseline, with
+its own determinism twin.
 
 ``LSDF_BENCH_TINY=1`` shrinks the horizon for CI smoke runs.
 """
@@ -103,7 +103,7 @@ def test_e16_fluid_arm_speedup(benchmark, report):
     speedup = _BASELINE_CALLS_PER_FRAME / profiled.calls_per_frame
     report(
         "E16-fluid", "fluid-event kernel: rate-interval ingest + "
-        "calendar-queue scheduler",
+        "bulk buffer/storage operations",
         [
             ("frames acquired", "-", f"{profiled.frames:,}"),
             ("background flows", "-", f"{profiled.background_flows:,}"),

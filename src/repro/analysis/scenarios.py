@@ -155,10 +155,9 @@ def _run_standard(facility: Facility) -> dict:
 
 def _fluid_config() -> FacilityConfig:
     """The canonical facility in fluid-event mode: rate-interval ingest
-    over the calendar-queue scheduler (the full fluid kernel stack)."""
+    with bulk buffer and storage operations."""
     cfg = lsdf_2011_config()
     cfg.fluid_ingest = True
-    cfg.scheduler = "calendar"
     return cfg
 
 
@@ -231,7 +230,7 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="fluid",
             description="3-minute fluid-mode ingest (rate intervals + "
-                        "calendar queue) with an array brown-out",
+                        "bulk operations) with an array brown-out",
             run=_run_fluid,
             config=_fluid_config,
         ),

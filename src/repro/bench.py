@@ -106,7 +106,6 @@ def run_hotpath(
     agents: int = 4,
     profile: bool = False,
     fluid: bool = False,
-    scheduler: str = "heap",
 ) -> HotpathResult:
     """Run the E16 high-concurrency ingest+backbone scenario once.
 
@@ -119,9 +118,8 @@ def run_hotpath(
     optimises.
 
     ``fluid=True`` runs the fluid-event arm: deterministic (zero-jitter)
-    microscopes coalesced into rate intervals, bulk buffer/storage
-    operations, and the calendar-queue scheduler unless ``scheduler``
-    overrides it.  The deterministic workload is an arm *parameter* — the
+    microscopes coalesced into rate intervals and bulk buffer/storage
+    operations.  The deterministic workload is an arm *parameter* — the
     fluid-off and fluid-on arms are only comparable to each other within
     the same workload shape, which is why the bench runs both arms itself.
 
@@ -132,7 +130,6 @@ def run_hotpath(
     from repro.core.config import lsdf_2011_config
 
     cfg = lsdf_2011_config()
-    cfg.scheduler = "calendar" if fluid and scheduler == "heap" else scheduler
     cfg.fluid_ingest = fluid
     fac = Facility(config=cfg, seed=seed)
     pipeline = fac.ingest_pipeline(
@@ -243,11 +240,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
                         help="run under cProfile and report calls/frame")
     parser.add_argument("--fluid", action="store_true",
                         help="run the fluid-event arm (rate-interval "
-                             "ingest over the calendar-queue scheduler)")
-    parser.add_argument("--scheduler", default="heap",
-                        choices=("heap", "calendar"),
-                        help="event-queue backend (default: heap; "
-                             "--fluid implies calendar unless set)")
+                             "ingest with bulk buffer/storage operations)")
     args = parser.parse_args(list(argv) if argv is not None else None)
 
     worker = functools.partial(
@@ -256,7 +249,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         instruments=args.instruments,
         profile=args.profile,
         fluid=args.fluid,
-        scheduler=args.scheduler,
     )
     results = run_sweep(worker, args.seeds, jobs=args.jobs)
 

@@ -45,19 +45,12 @@ class FacilityConfig:
     network_efficiency: float = 1.0
 
     # -- fluid-event kernel -------------------------------------------------------
-    #: Simulation event-queue backend: ``"heap"`` (the reference binary
-    #: heap) or ``"calendar"`` (calendar queue; identical event order,
-    #: O(1) amortised operations in timer-heavy regimes).
-    scheduler: str = "heap"
     #: Run ingest in fluid (rate-interval) mode: deterministic microscopes
     #: are coalesced into chunked bulk arrivals — exact for arrival_cv ==
     #: size_cv == 0, refused otherwise.
     fluid_ingest: bool = False
     #: Frames per fluid-mode rate interval.
     fluid_chunk_frames: int = 64
-    #: Flow count at which the max-min fair-share engine switches to the
-    #: numpy-vectorised solver (bit-identical results; None disables).
-    fluid_solver_threshold: int | None = 32
 
     # -- analysis cluster (slide 11) ------------------------------------------------
     cluster_racks: int = 4

@@ -91,7 +91,7 @@ class Facility:
     ):
         self.config = config or lsdf_2011_config()
         cfg = self.config
-        self.sim = Simulator(seed=seed, scheduler=cfg.scheduler)
+        self.sim = Simulator(seed=seed)
         # The telemetry spine must exist before any subsystem registers an
         # instrument: `enabled` only takes effect at hub-creation time.
         self.telemetry = TelemetryHub.for_sim(
@@ -124,9 +124,7 @@ class Facility:
             rack_hosts.append(hosts)
         names.cluster = [h for hosts in rack_hosts for h in hosts]
         self.net = Network(
-            self.sim, topo, sharing=cfg.sharing, efficiency=cfg.network_efficiency,
-            vector_threshold=cfg.fluid_solver_threshold,
-        )
+            self.sim, topo, sharing=cfg.sharing, efficiency=cfg.network_efficiency)
 
         # -- storage estate ------------------------------------------------------
         self.arrays = [

@@ -8,23 +8,22 @@ and recomputed only for links whose membership changed, and frozen flows
 are collected from the saturated links directly instead of rescanning the
 whole active set.
 
-:func:`_reference_maxmin_rates` is the retained naive implementation —
-every round recomputes every link's weight sum from scratch.  Both solvers
-perform *bit-identical arithmetic*: they build the same insertion-ordered
-membership maps, sum weights left-to-right over the same element order,
-freeze flows in the same order, and apply capacity subtractions in the
-same sequence.  The differential property tests
-(``tests/netsim/test_differential.py``) assert **exact** equality of their
-outputs, which is what makes the optimized solver trustworthy.  If you
-touch either function, keep the arithmetic order mirrored or those tests
-will catch you.
+Its differential-test oracle, a naive solver that recomputes every link's
+weight sum from scratch each round, lives in ``tests/netsim/oracles.py``.
+Both perform *bit-identical arithmetic*: they build the same
+insertion-ordered membership maps (:func:`_setup`), sum weights
+left-to-right over the same element order, freeze flows in the same order,
+and apply capacity subtractions in the same sequence.  The differential
+property tests (``tests/netsim/test_differential.py``) assert **exact**
+equality of their outputs, which is what makes the optimized solver
+trustworthy.  If you touch :func:`maxmin_rates`, keep the arithmetic order
+mirrored or those tests will catch you.
 
 :func:`equal_split_rates` is the ablation alternative (DESIGN.md §4): each
 link naively divides its capacity equally among crossing flows and a flow
 gets the minimum along its path.  It underestimates achievable rates because
 capacity "freed" by flows bottlenecked elsewhere is not redistributed.
-:func:`_reference_equal_split_rates` is its naive twin, kept for the same
-differential-testing purpose.
+Its naive twin lives next to the max-min oracle.
 
 All are pure functions of ``(flow -> links)`` and ``(link -> capacity)``,
 which makes them directly property-testable (see
@@ -39,14 +38,6 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: True when the vectorised solver can actually vectorise (numpy present).
-HAVE_NUMPY = _np is not None
-
 _EPS = 1e-12
 
 _INF = float("inf")
@@ -57,7 +48,7 @@ def _setup(
     capacities: Mapping[Hashable, float],
     weights: Mapping[Hashable, float] | None,
 ):
-    """Shared validated setup for both max-min solvers.
+    """Validated setup shared by :func:`maxmin_rates` and its test oracle.
 
     Returns ``(rates, active, w, remaining, members)`` where ``rates`` is
     pre-populated with the unconstrained (empty-path) flows, ``active``
@@ -65,8 +56,8 @@ def _setup(
     float weights, ``remaining`` the validated float capacities and
     ``members`` the per-link insertion-ordered membership maps
     (``lid -> {fid: None}``).  All containers are insertion-ordered dicts;
-    both solvers iterate them identically, which is what guarantees
-    bit-identical results.
+    the solver and its oracle iterate them identically, which is what
+    guarantees bit-identical results.
     """
     weights = weights or {}
     rates: dict[Hashable, float] = {}
@@ -128,7 +119,8 @@ def maxmin_rates(
     * every flow is bottlenecked: it crosses at least one saturated link
       (or is unconstrained);
     * with equal weights, flows sharing identical paths get equal rates;
-    * output is bit-identical to :func:`_reference_maxmin_rates`.
+    * output is bit-identical to the naive oracle in
+      ``tests/netsim/oracles.py``.
     """
     rates, active, w, remaining, members = _setup(flow_links, capacities, weights)
 
@@ -202,158 +194,6 @@ def maxmin_rates(
     return rates
 
 
-def _reference_maxmin_rates(
-    flow_links: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    weights: Mapping[Hashable, float] | None = None,
-) -> dict[Hashable, float]:
-    """The retained naive max-min solver (differential-test oracle).
-
-    Every progressive-filling round recomputes every loaded link's weight
-    sum from scratch — O(flows x links) per round, quadratic over a run —
-    which is exactly what :func:`maxmin_rates` avoids.  Kept deliberately
-    simple so its correctness is obvious; the optimized solver must match
-    it bit-for-bit (see the module docstring).
-    """
-    rates, active, w, remaining, members = _setup(flow_links, capacities, weights)
-
-    while active:
-        shares: dict[Hashable, float] = {}
-        bottleneck = None
-        for lid, fids in members.items():
-            if not fids:
-                continue
-            total = 0.0
-            for fid in fids:
-                total += w[fid]
-            share = remaining[lid] / total
-            shares[lid] = share
-            if bottleneck is None or share < bottleneck:
-                bottleneck = share
-        if bottleneck is None:
-            for fid in active:
-                rates[fid] = _INF
-            break
-
-        threshold = bottleneck + _EPS
-        frozen: dict[Hashable, None] = {}
-        for lid, share in shares.items():
-            if share <= threshold:
-                for fid in members[lid]:
-                    frozen[fid] = None
-        for fid in frozen:
-            rate = bottleneck * w[fid]
-            rates[fid] = rate
-            for lid in active[fid]:
-                members[lid].pop(fid, None)
-                left = remaining[lid] - rate
-                remaining[lid] = left if left > 0.0 else 0.0
-            del active[fid]
-
-    return rates
-
-
-def vectorized_maxmin_rates(
-    flow_links: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    weights: Mapping[Hashable, float] | None = None,
-) -> dict[Hashable, float]:
-    """Weighted max-min fair rates on a dense link x flow formulation.
-
-    Numerically **bit-identical** to :func:`maxmin_rates` and
-    :func:`_reference_maxmin_rates` — not merely close.  The equivalences
-    that make that possible:
-
-    * per-link weight sums use ``np.cumsum`` row sums, which accumulates
-      strictly left-to-right like the scalar ``total += w[fid]`` loop
-      (``np.sum`` would use pairwise summation and differ in the last
-      ulp); non-members contribute ``0.0``, and ``x + 0.0 == x`` bitwise
-      for the non-negative partial sums weights produce;
-    * link order in the dense formulation is ``members`` insertion order
-      and flow order is ``active`` insertion order, so saturated links
-      and their member flows freeze in exactly the reference's order
-      (``np.nonzero`` enumerates row-major = link-then-member);
-    * shares / bottleneck / threshold / rate are elementwise IEEE ops,
-      identical to the scalar expressions;
-    * the per-link capacity subtractions of a freezing round are replayed
-      *sequentially* in frozen-flow order (they form a data dependence
-      chain through ``remaining``), as scalar ``np.float64`` arithmetic.
-
-    The differential suite (``tests/netsim/test_vectorized.py``) asserts
-    exact equality on randomized topologies.  Without numpy installed
-    this transparently falls back to the optimized scalar solver (same
-    bits, no speedup).
-    """
-    if _np is None:
-        return maxmin_rates(flow_links, capacities, weights)
-    rates, active, w, remaining, members = _setup(flow_links, capacities, weights)
-    if not active:
-        return rates
-
-    fids = list(active)
-    lids = list(members)
-    findex = {fid: i for i, fid in enumerate(fids)}
-    lindex = {lid: j for j, lid in enumerate(lids)}
-    nflows, nlinks = len(fids), len(lids)
-    wv = _np.fromiter((w[fid] for fid in fids), dtype=_np.float64, count=nflows)
-    rem = _np.fromiter((remaining[lid] for lid in lids), dtype=_np.float64,
-                       count=nlinks)
-    membership = _np.zeros((nlinks, nflows), dtype=bool)
-    # Per-flow link paths as index arrays, kept in *path* order (with
-    # duplicates, if a path repeats a link) for the subtraction replay.
-    paths = []
-    for i, fid in enumerate(fids):
-        links = active[fid]
-        idx = _np.fromiter((lindex[lid] for lid in links), dtype=_np.intp,
-                           count=len(links))
-        paths.append(idx)
-        membership[idx, i] = True
-
-    # Cached per-link weight sums, sequential-semantics via cumsum.
-    masked = _np.where(membership, wv[_np.newaxis, :], 0.0)
-    wsum = _np.cumsum(masked, axis=1)[:, -1]
-    loaded = _np.ones(nlinks, dtype=bool)
-    alive = _np.ones(nflows, dtype=bool)
-    out = _np.zeros(nflows, dtype=_np.float64)
-
-    while alive.any():
-        live_links = _np.nonzero(loaded)[0]
-        if live_links.size == 0:
-            # Mirror of the scalar solvers' defensive exit.
-            out[alive] = _INF
-            break
-        shares = rem[live_links] / wsum[live_links]
-        bottleneck = shares.min()
-        threshold = bottleneck + _EPS
-        sat_links = live_links[shares <= threshold]
-        # Frozen flows in link-then-member discovery order with keep-first
-        # dedup — exactly the scalar solvers' `frozen` dict construction.
-        cols = _np.nonzero(membership[sat_links])[1]
-        _uniq, first = _np.unique(cols, return_index=True)
-        frozen = cols[_np.sort(first)]
-        # Capacity subtractions form a sequential dependence chain through
-        # `rem`; replay them in frozen order as scalar float64 arithmetic.
-        for i in frozen.tolist():
-            rate = bottleneck * wv[i]
-            out[i] = rate
-            for j in paths[i].tolist():
-                left = rem[j] - rate
-                rem[j] = left if left > 0.0 else 0.0
-        alive[frozen] = False
-        membership[:, frozen] = False
-        touched = _np.unique(_np.concatenate([paths[i] for i in frozen.tolist()]))
-        still_loaded = membership[touched].any(axis=1)
-        loaded[touched] = still_loaded
-        refresh = touched[still_loaded]
-        if refresh.size:
-            masked = _np.where(membership[refresh], wv[_np.newaxis, :], 0.0)
-            wsum[refresh] = _np.cumsum(masked, axis=1)[:, -1]
-
-    for fid, i in findex.items():
-        rates[fid] = float(out[i])
-    return rates
-
-
 def equal_split_rates(
     flow_links: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
@@ -383,41 +223,6 @@ def equal_split_rates(
             rates[fid] = _INF
             continue
         wf = w[fid]
-        best = None
-        for lid in links:
-            offer = capacities[lid] * wf / link_load[lid]
-            if best is None or offer < best:
-                best = offer
-        rates[fid] = best
-    return rates
-
-
-def _reference_equal_split_rates(
-    flow_links: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    weights: Mapping[Hashable, float] | None = None,
-) -> dict[Hashable, float]:
-    """The retained naive equal-split implementation (differential oracle).
-
-    Recomputes the per-flow weight lookup inside both passes instead of
-    caching it — the seed repo's original shape.  Arithmetic mirrors
-    :func:`equal_split_rates` exactly.
-    """
-    weights = weights or {}
-    link_load: dict[Hashable, float] = {}
-    for fid, links in flow_links.items():
-        wf = float(weights.get(fid, 1.0))
-        for lid in links:
-            if lid not in capacities:
-                raise KeyError(f"flow {fid!r} crosses unknown link {lid!r}")
-            link_load[lid] = link_load.get(lid, 0.0) + wf
-
-    rates: dict[Hashable, float] = {}
-    for fid, links in flow_links.items():
-        if len(links) == 0:
-            rates[fid] = _INF
-            continue
-        wf = float(weights.get(fid, 1.0))
         best = None
         for lid in links:
             offer = capacities[lid] * wf / link_load[lid]

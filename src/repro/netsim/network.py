@@ -6,17 +6,17 @@ sharing model (max-min fair by default).  Whenever the flow set or the
 topology changes, rates are recomputed and the next flow completion is
 rescheduled — the classic event-driven fluid simulation.
 
-The default ``incremental`` engine keeps the solver inputs — the
-``flow -> link keys`` map, the ``link -> capacity`` map and the per-flow
-weights — as persistent structures maintained as flows arrive and leave,
-instead of rebuilding them on every event.  Rate solves triggered by
-same-instant arrivals are additionally *batched*: N transfers starting at
-one simulation time trigger one deferred solve, not N, and a solve is
-skipped entirely when nothing about the flow set changed (e.g. a topology
-epoch bump whose reroute produced identical paths).  The ``reference``
-engine retains the seed repo's naive rebuild-everything-per-event path and
-is used by the differential tests to prove the incremental engine produces
-identical completion times (``tests/netsim/test_differential.py``).
+The engine keeps the solver inputs — the ``flow -> link keys`` map, the
+``link -> capacity`` map and the per-flow weights — as persistent
+structures maintained as flows arrive and leave, instead of rebuilding them
+on every event.  Rate solves triggered by same-instant arrivals are
+additionally *batched*: N transfers starting at one simulation time trigger
+one deferred solve, not N, and a solve is skipped entirely when nothing
+about the flow set changed (e.g. a topology epoch bump whose reroute
+produced identical paths).  The differential tests
+(``tests/netsim/test_differential.py``) check it against a naive
+rebuild-everything-per-event oracle kept in ``tests/netsim/oracles.py``:
+completion times must be identical.
 
 Failures: when a router/link on a flow's path fails, the flow is rerouted
 over the surviving topology (this is how the paper's redundant routers are
@@ -34,14 +34,7 @@ from repro.simkit.core import Simulator
 from repro.simkit.events import LOW, Event
 from repro.simkit.monitor import TimeWeighted
 from repro.telemetry.hub import TelemetryHub
-from repro.netsim.fairshare import (
-    HAVE_NUMPY,
-    _reference_equal_split_rates,
-    _reference_maxmin_rates,
-    equal_split_rates,
-    maxmin_rates,
-    vectorized_maxmin_rates,
-)
+from repro.netsim.fairshare import equal_split_rates, maxmin_rates
 from repro.netsim.topology import Link, NoRouteError, Topology
 
 _COMPLETE_EPS_BYTES = 1e-3
@@ -50,14 +43,6 @@ SHARING_MODELS: dict[str, Callable] = {
     "maxmin": maxmin_rates,
     "equal": equal_split_rates,
 }
-
-#: Naive twins of :data:`SHARING_MODELS`, used by the ``reference`` engine.
-_REFERENCE_SHARING_MODELS: dict[str, Callable] = {
-    "maxmin": _reference_maxmin_rates,
-    "equal": _reference_equal_split_rates,
-}
-
-ENGINES = ("incremental", "reference")
 
 
 class NetworkError(Exception):
@@ -129,17 +114,6 @@ class Network:
         (protocol overhead, TCP dynamics).  The paper's "15 days for 1 PB
         over an *ideal* 10 Gb/s link" corresponds to ``efficiency < 1``;
         E6 sweeps this.
-    engine:
-        ``"incremental"`` (default) maintains solver inputs persistently,
-        batches same-instant solves and skips no-op solves;
-        ``"reference"`` is the retained naive rebuild-per-event path used
-        as the differential-testing oracle.
-    vector_threshold:
-        Flow-count at which the incremental max-min engine switches to
-        the numpy-vectorised solver (bit-identical results, lower python
-        overhead on large flow sets).  ``None`` disables the vectorised
-        path; ignored for the ``equal`` model, the ``reference`` engine
-        and when numpy is not installed.
     """
 
     def __init__(
@@ -148,39 +122,24 @@ class Network:
         topology: Topology,
         sharing: str = "maxmin",
         efficiency: float = 1.0,
-        engine: str = "incremental",
-        vector_threshold: int | None = 32,
     ):
         if sharing not in SHARING_MODELS:
             raise ValueError(f"unknown sharing model {sharing!r}")
         if not (0.0 < efficiency <= 1.0):
             raise ValueError("efficiency must be in (0, 1]")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r} (want one of {ENGINES})")
         self.sim = sim
         self.topology = topology
         self.sharing = sharing
         self.efficiency = efficiency
-        self.engine = engine
-        if engine == "reference":
-            self._share_fn = _REFERENCE_SHARING_MODELS[sharing]
-        else:
-            self._share_fn = SHARING_MODELS[sharing]
-        #: Flow count from which the incremental max-min engine solves on
-        #: the dense vectorised path (None / no numpy / "equal" = never).
-        self._vector_threshold = (
-            int(vector_threshold)
-            if (vector_threshold is not None and HAVE_NUMPY
-                and sharing == "maxmin" and engine != "reference")
-            else None)
+        self._share_fn = SHARING_MODELS[sharing]
         self._flows: dict[int, Flow] = {}
         self._next_fid = 0
         self._last_progress_t = sim.now
         self._timer_gen = 0
         self._seen_epoch = topology.epoch
-        # -- persistent solver inputs (incremental engine) ------------------
+        # -- persistent solver inputs ----------------------------------------
         # Maintained in lockstep with self._flows so a solve never rebuilds
-        # them; the reference engine rebuilds equivalents per event instead.
+        # them.
         self._flow_links: dict[int, tuple] = {}
         self._weights: dict[int, float] = {}
         self._caps: dict[tuple, float] = {}
@@ -209,9 +168,11 @@ class Network:
         self.solves_skipped = reg.counter(
             "net.solves_skipped_total",
             "Rebalances that reused the previous rates (clean flow set)")
+        # Always 0: the vectorised solver is gone.  Kept registered only
+        # because perfbench/sims.py reads it.
         self.vector_solves = reg.counter(
             "net.vector_solves_total",
-            "Fair-share solves executed by the vectorised max-min solver")
+            "Retired: vectorised max-min solves (always 0)")
         reg.gauge_fn("net.flows_inflight", lambda: float(len(self._flows)),
                      "Flows currently in flight")
         reg.gauge_fn("net.route_cache_hits",
@@ -270,12 +231,8 @@ class Network:
             return done
         self._flows[flow.fid] = flow
         self.active_flows.set(self.sim.now, len(self._flows))
-        if self.engine == "reference":
-            self._advance_progress()
-            self._rebalance()
-        else:
-            self._track_flow(flow)
-            self._request_rebalance()
+        self._track_flow(flow)
+        self._request_rebalance()
         return done
 
     def notify_topology_changed(self) -> None:
@@ -317,9 +274,9 @@ class Network:
     def current_rate(self, fid: int) -> float:
         """Instantaneous rate of an in-flight flow (bytes/s).
 
-        With the incremental engine a flow that arrived at the *current*
-        instant may still be awaiting the batched solve; its rate reads 0
-        until the same-instant solve event runs.
+        A flow that arrived at the *current* instant may still be awaiting
+        the batched solve; its rate reads 0 until the same-instant solve
+        event runs.
         """
         return self._flows[fid].rate
 
@@ -413,8 +370,7 @@ class Network:
             del self._flows[flow.fid]
             self._failed_flows.add(1)
             flow.done.fail(NoRouteError(f"flow {flow.src}->{flow.dst} lost its route"))
-        if self.engine != "reference":
-            self._rebuild_tracking()
+        self._rebuild_tracking()
         if dead:
             self.active_flows.set(self.sim.now, len(self._flows))
 
@@ -447,26 +403,8 @@ class Network:
             self._timer_gen += 1  # cancel any outstanding timer
             return
         self.rebalances.add(1)
-        if self.engine == "reference":
-            flow_links = {f.fid: [lk.key for lk in f.links] for f in self._flows.values()}
-            capacities = {}
-            for flow in self._flows.values():
-                for link in flow.links:
-                    capacities[link.key] = link.capacity * self.efficiency
-            weights = {f.fid: f.weight for f in self._flows.values()}
-            rates = self._share_fn(flow_links, capacities, weights)
-            self.solves.add(1)
-            for flow in self._flows.values():
-                flow.rate = rates[flow.fid]
-        elif self._dirty:
-            flow_links = self._flow_links
-            threshold = self._vector_threshold
-            if threshold is not None and len(flow_links) >= threshold:
-                rates = vectorized_maxmin_rates(
-                    flow_links, self._caps, self._weights)
-                self.vector_solves.add(1)
-            else:
-                rates = self._share_fn(flow_links, self._caps, self._weights)
+        if self._dirty:
+            rates = self._share_fn(self._flow_links, self._caps, self._weights)
             self._dirty = False
             self.solves.add(1)
             for flow in self._flows.values():
@@ -511,11 +449,9 @@ class Network:
             for f in self._flows.values()
             if f.remaining <= _COMPLETE_EPS_BYTES or f.remaining <= f.rate * 1e-6
         ]
-        incremental = self.engine != "reference"
         for flow in finished:
             del self._flows[flow.fid]
-            if incremental:
-                self._untrack_flow(flow)
+            self._untrack_flow(flow)
             latency = self.topology.path_latency(flow.links)
             result = TransferResult(
                 flow.src,

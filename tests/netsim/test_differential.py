@@ -1,34 +1,35 @@
-"""Differential tests: the incremental engine vs the naive references.
+"""Differential tests: the netsim engine vs the naive oracles.
 
-PR 5's netsim optimizations are only trustworthy because every one of them
-is backed by a retained naive twin and an *exact*-equality test:
+The netsim optimizations are only trustworthy because every one of them
+is backed by a naive twin (in :mod:`tests.netsim.oracles`, except the
+route oracle) and an *exact*-equality test:
 
 * :func:`repro.netsim.fairshare.maxmin_rates` (cached weight sums, frozen
   collection from saturated links) against
-  :func:`~repro.netsim.fairshare._reference_maxmin_rates` — bit-identical
+  :func:`~tests.netsim.oracles._reference_maxmin_rates` — bit-identical
   outputs on randomized scenarios;
 * :func:`repro.netsim.fairshare.equal_split_rates` against its naive twin;
 * :meth:`Topology.route` (epoch-keyed cache) against
   :meth:`Topology._reference_route` (uncached pathfinding) across random
   failure/repair sequences;
-* the full incremental :class:`Network` engine (persistent solver inputs,
-  batched same-instant solves, skip-when-clean) against
-  ``Network(engine="reference")`` — the seed repo's rebuild-per-event
+* the full :class:`Network` engine (persistent solver inputs, batched
+  same-instant solves, skip-when-clean) against
+  :class:`~tests.netsim.oracles.ReferenceNetwork` — the rebuild-per-event
   path — on random arrival/departure/failure workloads, comparing
   completion timestamps and delivered bytes exactly.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simkit import Simulator
 from repro.netsim import Network, NoRouteError, Topology
-from repro.netsim.fairshare import (
+from repro.netsim.fairshare import equal_split_rates, maxmin_rates
+from tests.netsim.oracles import (
+    ReferenceNetwork,
     _reference_equal_split_rates,
     _reference_maxmin_rates,
-    equal_split_rates,
-    maxmin_rates,
 )
 
 
@@ -58,8 +59,30 @@ def _solver_scenario(draw):
     return flows, caps, weights
 
 
+@st.composite
+def _wide_solver_scenario(draw):
+    """Up to 60 flows (none at all included), paths that repeat links,
+    and extreme capacity/weight magnitudes."""
+    n_links = draw(st.integers(min_value=1, max_value=10))
+    caps = {
+        f"L{i}": draw(st.floats(min_value=1e-9, max_value=1e12))
+        for i in range(n_links)
+    }
+    n_flows = draw(st.integers(min_value=0, max_value=60))
+    flows, weights = {}, {}
+    for f in range(n_flows):
+        path_len = draw(st.integers(min_value=0, max_value=n_links + 2))
+        flows[f"f{f}"] = tuple(draw(st.lists(
+            st.sampled_from(sorted(caps)),
+            min_size=path_len, max_size=path_len)))
+        weights[f"f{f}"] = draw(st.floats(min_value=1e-6, max_value=100.0))
+    return flows, caps, weights
+
+
 class TestSolverDifferential:
-    @given(_solver_scenario())
+    @given(st.one_of(_solver_scenario(), _wide_solver_scenario()))
+    @example(({}, {}, {}))
+    @example(({"a": ("L0",), "b": ("L0",), "c": ()}, {"L0": 10.0}, {}))
     @settings(max_examples=250, deadline=None)
     def test_maxmin_bit_identical_to_reference(self, scenario):
         flows, caps, weights = scenario
@@ -202,10 +225,10 @@ def _workload(draw):
     return ops
 
 
-def _run_workload(engine: str, ops) -> list[tuple]:
+def _run_workload(network_cls: type, ops) -> list[tuple]:
     """Run one op sequence on one engine; return the completion log."""
     sim = Simulator(seed=99)
-    net = Network(sim, _mesh(), engine=engine)
+    net = network_cls(sim, _mesh())
     log: list[tuple] = []
 
     def watch(tag, event):
@@ -240,23 +263,26 @@ def _run_workload(engine: str, ops) -> list[tuple]:
     return log
 
 
+#: Forty flows arriving at one instant: a flow set larger than any the
+#: random workloads reach.
+_CROWD = [(0.0, "xfer", (_ENDPOINTS[i % 3], _ENDPOINTS[3 + i % 3],
+                         1e3 + 10.0 * i, 1.0)) for i in range(40)]
+
+
 class TestEngineDifferential:
     @given(_workload())
+    @example(_CROWD)
     @settings(max_examples=60, deadline=None)
     def test_incremental_engine_matches_reference(self, ops):
-        fast = _run_workload("incremental", ops)
-        naive = _run_workload("reference", ops)
+        fast = _run_workload(Network, ops)
+        naive = _run_workload(ReferenceNetwork, ops)
         # Exact comparison of completion timestamps and sizes: the
         # incremental engine must be an invisible optimization.
         assert fast == naive
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Network(Simulator(), _mesh(), engine="bogus")
-
     def test_reference_engine_counts_every_solve(self):
         sim = Simulator(seed=1)
-        net = Network(sim, _mesh(), engine="reference")
+        net = ReferenceNetwork(sim, _mesh())
         net.transfer("n0", "n2", 100.0)
         net.transfer("n0", "n2", 100.0)
         sim.run()

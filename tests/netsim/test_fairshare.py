@@ -33,6 +33,10 @@ class TestMaxMinExamples:
     def test_empty_path_unconstrained(self):
         rates = maxmin_rates({"local": []}, {})
         assert rates["local"] == float("inf")
+        # Mixed with constrained flows, and with no flows at all.
+        mixed = maxmin_rates({"a": ("L0",), "b": ("L0",), "c": ()}, {"L0": 10.0})
+        assert mixed == {"a": 5.0, "b": 5.0, "c": float("inf")}
+        assert maxmin_rates({}, {}, {}) == {}
 
     def test_unknown_link_raises(self):
         with pytest.raises(KeyError):

@@ -1,83 +1,16 @@
-"""Differential tests: the calendar-queue scheduler vs the binary heap.
+"""The kernel's event queue: same-seed twin runs and pop order.
 
-The calendar queue is only admissible as a kernel backend because it
-reproduces the heap's pop order *exactly* — same-instant ties, priority
-games, non-finite timestamps and all.  These tests compare the two
-backends element-wise on randomized operation sequences, then at the
-kernel level (two same-seed simulators, one per backend, must produce
-identical event traces).
+Events pop in ``(time, priority, tie, seq)`` order.  ``tie`` is 0 unless a
+tie-shuffle stream is installed (the race detector), in which case it is a
+seeded draw that reorders only same-``(time, priority)`` events.  Two
+same-seed simulators, with or without the same tie-shuffle seed, must
+produce identical event traces.
 """
-
-import math
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.trace import TraceRecorder, first_divergence
 from repro.simkit import Simulator
-from repro.simkit.sched import (
-    SCHEDULERS,
-    CalendarQueueScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
+from repro.simkit.rand import RandomSource
 
-_INF = float("inf")
-
-
-# -- randomized pop-order equivalence --------------------------------------
-
-@given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_calendar_matches_heap_pop_order(data):
-    """Interleaved pushes and pops: every pop (and peek) agrees with the
-    heap, including exact-tie timestamps drawn from a small shared pool
-    and infinite timestamps."""
-    heap, cal = HeapScheduler(), CalendarQueueScheduler()
-    # A small unique pool forces genuine same-timestamp collisions; the
-    # occasional inf exercises the far-future side heap.
-    pool = data.draw(st.lists(
-        st.floats(min_value=0.0, max_value=1e9,
-                  allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=8, unique=True))
-    pool = pool + [_INF]
-    seq = 0
-    for _ in range(data.draw(st.integers(min_value=1, max_value=150))):
-        if len(heap) and data.draw(st.booleans()):
-            assert cal.peek_time() == heap.peek_time()
-            assert cal.pop() == heap.pop()
-        else:
-            entry = (data.draw(st.sampled_from(pool)),
-                     data.draw(st.integers(min_value=0, max_value=2)),
-                     0, seq, None)
-            seq += 1
-            heap.push(entry)
-            cal.push(entry)
-        assert len(cal) == len(heap)
-    while len(heap):
-        assert cal.pop() == heap.pop()
-    assert cal.peek_time() == _INF
-
-
-@given(times=st.lists(
-    st.floats(min_value=0.0, max_value=1e12,
-              allow_nan=False, allow_infinity=False),
-    min_size=1, max_size=300))
-@settings(max_examples=60, deadline=None)
-def test_calendar_bulk_drain_is_sorted(times):
-    """Push-everything-then-drain (the resize-heavy shape): the drain is
-    the stable sort of the input, across grow and shrink resizes."""
-    cal = CalendarQueueScheduler(bucket_width=0.5, nbuckets=4, min_buckets=2)
-    entries = [(t, 0, 0, i, None) for i, t in enumerate(times)]
-    for entry in entries:
-        cal.push(entry)
-    drained = [cal.pop() for _ in range(len(entries))]
-    assert drained == sorted(entries)
-    assert len(cal) == 0
-
-
-# -- kernel-level twin runs ------------------------------------------------
 
 def _twin_workload(sim: Simulator) -> None:
     """A workload touching the ordering-sensitive kernel features: timer
@@ -95,8 +28,8 @@ def _twin_workload(sim: Simulator) -> None:
         try:
             yield sim.timeout(100.0)
         except Interrupt:
-            # The abandoned timer entry still pops inside the scheduler
-            # (there is no remove); only its callback is inert.
+            # The abandoned timer entry still pops from the queue (there
+            # is no remove); only its callback is inert.
             yield sim.timeout(0.5)
 
     def sleeper():
@@ -117,81 +50,30 @@ def _twin_workload(sim: Simulator) -> None:
     sim.event(name="lo").succeed(delay=3.0, priority=LOW)
 
 
+def _traced_run(tie_seed=None) -> TraceRecorder:
+    sim = Simulator(seed=42)
+    recorder = TraceRecorder().install(sim)
+    if tie_seed is not None:
+        sim.enable_tie_shuffle(RandomSource(tie_seed).spawn("tie-shuffle"))
+    _twin_workload(sim)
+    sim.run(until=40.0)
+    return recorder
+
+
+def _tie_inversions(recorder: TraceRecorder) -> int:
+    """Consecutive same-``(time, priority)`` pops out of insertion order."""
+    entries = recorder.entries
+    return sum(1 for a, b in zip(entries, entries[1:])
+               if (a.time, a.priority) == (b.time, b.priority) and a.seq > b.seq)
+
+
 def test_kernel_twin_traces_identical():
-    traces = {}
-    for kind in ("heap", "calendar"):
-        sim = Simulator(seed=42, scheduler=kind)
-        recorder = TraceRecorder().install(sim)
-        _twin_workload(sim)
-        sim.run(until=40.0)
-        traces[kind] = recorder
-    assert first_divergence(traces["heap"], traces["calendar"]) is None
-    assert traces["heap"].digest() == traces["calendar"].digest()
-    assert len(traces["heap"]) > 100
-
-
-# -- calendar-queue unit behaviour ----------------------------------------
-
-def test_empty_pop_raises_and_peek_is_inf():
-    cal = CalendarQueueScheduler()
-    assert cal.peek_time() == _INF
-    with pytest.raises(IndexError):
-        cal.pop()
-
-
-def test_infinite_entries_pop_last():
-    cal = CalendarQueueScheduler()
-    cal.push((_INF, 0, 0, 0, None))
-    cal.push((3.0, 0, 0, 1, None))
-    cal.push((_INF, 0, 0, 2, None))
-    assert cal.pop()[0] == 3.0
-    assert cal.pop() == (_INF, 0, 0, 0, None)
-    assert cal.pop() == (_INF, 0, 0, 2, None)
-
-
-def test_resize_grows_and_shrinks():
-    cal = CalendarQueueScheduler(nbuckets=4, min_buckets=2, max_buckets=64)
-    for i in range(100):
-        cal.push((float(i) * 0.1, 0, 0, i, None))
-    assert cal._nb > 4  # grew past the initial bucket count
-    out = [cal.pop()[0] for _ in range(100)]
-    assert out == sorted(out)
-    assert cal._nb <= 4  # shrank back down as the queue drained
-
-
-def test_push_earlier_than_cursor_rewinds():
-    cal = CalendarQueueScheduler(bucket_width=1.0, nbuckets=8)
-    cal.push((50.0, 0, 0, 0, None))
-    assert cal.peek_time() == 50.0  # commits the cursor at day 50
-    cal.push((2.0, 0, 0, 1, None))  # earlier than the committed cursor
-    assert cal.peek_time() == 2.0
-    assert cal.pop()[0] == 2.0
-    assert cal.pop()[0] == 50.0
-
-
-def test_bad_construction_rejected():
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(bucket_width=0.0)
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(nbuckets=0)
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(min_buckets=8, max_buckets=4)
-
-
-# -- registry / kernel plumbing -------------------------------------------
-
-def test_make_scheduler_resolution():
-    assert isinstance(make_scheduler(None), HeapScheduler)
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarQueueScheduler)
-    custom = CalendarQueueScheduler(bucket_width=2.0)
-    assert make_scheduler(custom) is custom
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("splay")
-    assert set(SCHEDULERS) == {"heap", "calendar"}
-
-
-def test_simulator_scheduler_property():
-    sim = Simulator(scheduler="calendar")
-    assert sim.scheduler.kind == "calendar"
-    assert Simulator().scheduler.kind == "heap"
+    for tie_seed in (None, 7):
+        first, second = _traced_run(tie_seed), _traced_run(tie_seed)
+        assert first_divergence(first, second) is None
+        assert first.digest() == second.digest()
+        assert len(first) > 100
+        times = [e.time for e in first.entries]
+        assert times == sorted(times)
+        # Same-instant ties pop in insertion order unless shuffled.
+        assert (_tie_inversions(first) > 0) == (tie_seed is not None)
