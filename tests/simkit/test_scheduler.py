@@ -7,8 +7,10 @@ same-seed simulators, with or without the same tie-shuffle seed, must
 produce identical event traces.
 """
 
+import pytest
+
 from repro.analysis.trace import TraceRecorder, first_divergence
-from repro.simkit import Simulator
+from repro.simkit import Simulator, SimkitError
 from repro.simkit.rand import RandomSource
 
 
@@ -77,3 +79,45 @@ def test_kernel_twin_traces_identical():
         assert times == sorted(times)
         # Same-instant ties pop in insertion order unless shuffled.
         assert (_tie_inversions(first) > 0) == (tie_seed is not None)
+
+
+# -- queue edge cases -------------------------------------------------------
+
+def _popped_names(sim: Simulator) -> list:
+    names: list = []
+    sim.trace_hooks.append(lambda when, prio, seq, event: names.append((when, event.name)))
+    return names
+
+
+def test_empty_pop_raises_and_peek_is_inf():
+    sim = Simulator()
+    assert sim.peek() == float("inf")
+    with pytest.raises(SimkitError):
+        sim.step()
+
+
+def test_infinite_entries_pop_last():
+    sim = Simulator()
+    popped = _popped_names(sim)
+    inf = float("inf")
+    sim.event(name="inf-a").succeed(delay=inf)
+    sim.event(name="finite").succeed(delay=3.0)
+    sim.event(name="inf-b").succeed(delay=inf)
+    for _ in range(3):
+        sim.step()
+    assert popped == [(3.0, "finite"), (inf, "inf-a"), (inf, "inf-b")]
+    assert sim.queue_empty
+
+
+def test_push_earlier_than_cursor_rewinds():
+    """An event scheduled after the queue head was inspected, but earlier
+    than it, becomes the new head."""
+    sim = Simulator()
+    popped = _popped_names(sim)
+    sim.event(name="late").succeed(delay=50.0)
+    assert sim.peek() == 50.0
+    sim.event(name="early").succeed(delay=2.0)
+    assert sim.peek() == 2.0
+    sim.step()
+    sim.step()
+    assert popped == [(2.0, "early"), (50.0, "late")]
