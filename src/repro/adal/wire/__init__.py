@@ -3,8 +3,8 @@
 The paper's ADAL is a *served* API: experiment DAQs and remote clients
 reach it over the network, not in-process.  This package is that wire
 half: an asyncio service (:class:`~repro.adal.wire.server.WireServer`)
-speaking a length-prefixed JSON protocol, reusing the
-:mod:`repro.frontdoor` admission machinery on the wall clock, and a
+speaking a length-prefixed JSON protocol and driving the
+:class:`~repro.frontdoor.core.AdmissionCore` on the wall clock, and a
 pooled, pipelining, auto-batching client
 (:class:`~repro.adal.wire.client.WireClient`).
 

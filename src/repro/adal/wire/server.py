@@ -6,16 +6,12 @@ speaking the length-prefixed JSON protocol of
 :class:`~repro.metadata.store.MetadataStore` (durable or not) and,
 optionally, an :class:`~repro.adal.api.AdalClient` for object-store ops.
 
-Its admission policy core is **reused from the front door**
-(:mod:`repro.frontdoor`): per-tenant
-:class:`~repro.frontdoor.admission.TokenBucket` rate limits, the bounded
-fair-share :class:`~repro.frontdoor.admission.AdmissionQueue` with
-CoDel-style :class:`~repro.frontdoor.admission.ShedController`,
-:class:`~repro.frontdoor.brownout.BrownoutController` write degradation,
-and per-request :class:`~repro.frontdoor.request.Deadline` budgets with
-expired-at-pop fail-fast.  Those components take an injected clock, so
-the same code that runs on the simulation clock inside
-:class:`~repro.frontdoor.service.FrontDoor` here runs on the wall clock.
+One admission core, two drivers: this server runs the sans-IO
+:class:`~repro.frontdoor.core.AdmissionCore` on the wall clock, as the
+simulated :class:`~repro.frontdoor.service.FrontDoor` runs it on the
+simulation clock.  This driver keeps only what is wire-specific: framing
+and envelope validation, auth, connection backpressure, the worker
+tasks, batch execution and the ``wire.*`` metrics.
 
 Determinism boundary: everything *behind* the socket — the metadata
 store, the WAL, the ADAL backends — is plain synchronous state shared
@@ -30,7 +26,7 @@ Backpressure is end to end:
 * responses are written through ``drain()``, so a slow reader bounds the
   per-connection write buffer instead of ballooning server memory.
 
-Every decoded request reaches exactly one terminal response (result,
+Every decoded message reaches exactly one terminal response (result,
 typed error, rejection, or deadline failure) — :meth:`accounting`
 carries the front door's zero-silent-loss balance sheet over the wire.
 """
@@ -38,8 +34,10 @@ carries the front door's zero-silent-loss balance sheet over the wire.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.adal.api import AdalClient
@@ -54,19 +52,19 @@ from repro.adal.wire.protocol import (
     read_frame,
     write_frame,
 )
-from repro.frontdoor.admission import AdmissionQueue, ShedController, TokenBucket
-from repro.frontdoor.brownout import TIER_NAMES, BrownoutController
+from repro.frontdoor.core import REJECT_REASONS, AdmissionCore
 from repro.frontdoor.request import (
     BATCH,
     INTERACTIVE,
+    PRIORITY_NAMES,
     Deadline,
     TenantSpec,
 )
 from repro.telemetry.events import INFO, WARNING
 from repro.telemetry.hub import TelemetryHub
 
-#: Admission rejection reasons (label pre-registration).
-REJECT_REASONS = ("rate_limited", "queue_full", "brownout")
+#: ``wire.requests_total`` label of a message naming no served op.
+_UNKNOWN_OP = "unknown"
 
 #: Terminal response statuses (label pre-registration).
 RESPONSE_STATUSES = ("ok", "error", "rejected", "deadline", "shed", "closed")
@@ -79,11 +77,6 @@ _OP_PRIORITY = {
 
 #: Operations the brownout controller treats as writes.
 _WRITE_OPS = frozenset({"register", "tag", "add_processing"})
-
-
-def _default_tenants() -> tuple[TenantSpec, ...]:
-    """A single unlimited public tenant (standalone / bench default)."""
-    return (TenantSpec("public", weight=1.0, rate_limit=None),)
 
 
 @dataclass
@@ -118,8 +111,6 @@ class WireRequest:
     enqueued: float = 0.0
     #: Guard: exactly one terminal response per request.
     finished: bool = False
-    retries: int = 0
-    outcome: Optional[str] = field(default=None)
 
 
 class WireServer:
@@ -145,10 +136,9 @@ class WireServer:
     workers:
         Concurrent service tasks draining the admission queue.
     queue_capacity:
-        Per-tenant admission queue bound.
-    high_water / low_water:
-        Total queue depths at which connection readers pause / resume
-        (defaults: 0.75 / 0.25 of ``queue_capacity``).
+        Per-tenant admission queue bound.  Connection readers pause when
+        the total queue depth reaches 0.75 of the summed bounds and
+        resume at 0.25.
     deadlines:
         Default budgets (seconds) by priority class when a request names
         none.
@@ -172,11 +162,6 @@ class WireServer:
         tenants: Optional[Sequence[TenantSpec]] = None,
         workers: int = 4,
         queue_capacity: int = 1024,
-        high_water: Optional[int] = None,
-        low_water: Optional[int] = None,
-        codel_target: float = 0.25,
-        codel_interval: float = 1.0,
-        brownout_target: float = 0.5,
         deadlines: tuple[float, float, float] = (5.0, 15.0, 60.0),
         enabled: bool = True,
         require_auth: bool = False,
@@ -196,8 +181,8 @@ class WireServer:
         self.require_auth = require_auth
         self.debug_ops = debug_ops
         self.workers = workers
-        self.deadlines = deadlines
-        specs = tuple(tenants) if tenants else _default_tenants()
+        # Standalone and bench default: one unlimited public tenant.
+        specs = tuple(tenants) if tenants else (TenantSpec("public"),)
         self.tenants = {spec.name: spec for spec in specs}
         self._fallback_tenant = specs[0].name
         self._t0 = time.monotonic()
@@ -205,38 +190,28 @@ class WireServer:
         if telemetry is None:
             telemetry = TelemetryHub(clock=self._clock)
         self._hub = telemetry
-        self.shed = ShedController(target=codel_target, interval=codel_interval)
-        self.brownout = BrownoutController(
-            target=brownout_target, on_change=self._on_brownout_change)
-        self.queue = AdmissionQueue(
-            clock=self._clock,
-            tenants={spec.name: spec.weight for spec in specs},
-            capacity=queue_capacity,
-            shed=self.shed if enabled else None,
-            on_drop=self._on_queue_drop,
-            on_dequeue=self._on_dequeue,
-            fail_fast_expired=enabled,
-        )
-        self.buckets = {
-            spec.name: TokenBucket(self._clock, spec.rate_limit, spec.burst)
-            for spec in specs
-        }
+        # Queue-side drops (expired / shed) surface synchronously inside a
+        # pop; answering one needs an await, so they are parked here.
+        self._drops: deque[tuple[WireRequest, str]] = deque()
+        self.admission = AdmissionCore(
+            self._clock, specs, queue_capacity=queue_capacity,
+            codel_target=0.25, codel_interval=1.0, brownout_target=0.5,
+            deadlines=deadlines,
+            on_drop=lambda request, reason: self._drops.append(
+                (request, reason)),
+            bus=self._hub.bus, name=name, enabled=enabled)
+        self.queue = self.admission.queue
+        self.shed = self.admission.shed
+        self.brownout = self.admission.brownout
         total_capacity = queue_capacity * len(specs)
-        self.high_water = (high_water if high_water is not None
-                           else max(1, int(total_capacity * 0.75)))
-        self.low_water = (low_water if low_water is not None
-                          else max(0, int(total_capacity * 0.25)))
-        if self.low_water >= self.high_water:
-            raise ValueError("low_water must be < high_water")
-        self._seq = 0
-        self._in_flight = 0
+        self.high_water = max(1, int(total_capacity * 0.75))
+        self.low_water = max(0, int(total_capacity * 0.25))
         self._open_conns = 0
         self._conn_seq = 0
         self._running = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._worker_tasks: list[asyncio.Task] = []
         self._conns: dict[int, _ConnState] = {}
-        self._drops: list[tuple[WireRequest, str]] = []
         self._arrival: Optional[asyncio.Event] = None
         self._space: Optional[asyncio.Event] = None
         self._build_instruments()
@@ -247,7 +222,7 @@ class WireServer:
         self._m_requests = {
             op: reg.counter("wire.requests_total",
                             "Wire requests decoded, by operation", op=op)
-            for op in OPS}
+            for op in OPS + (_UNKNOWN_OP,)}
         self._m_responses = {
             status: reg.counter("wire.responses_total",
                                 "Terminal wire responses, by status",
@@ -291,7 +266,7 @@ class WireServer:
                      lambda: float(self.queue.depth),
                      "Requests in the wire admission queue")
         reg.gauge_fn("wire.in_flight",
-                     lambda: float(self._in_flight),
+                     lambda: float(self.admission.in_flight),
                      "Requests currently in service")
         reg.gauge_fn("wire.open_connections",
                      lambda: float(self._open_conns),
@@ -335,6 +310,7 @@ class WireServer:
             task.cancel()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
+        await self._flush_drops()
         for state in list(self._conns.values()):
             state.closed = True
             state.writer.close()
@@ -401,14 +377,16 @@ class WireServer:
         """Validate, authenticate and admit one decoded message."""
         message_id = message.get("id")
         op = message.get("op")
-        if op not in OPS or (op == "stall" and not self.debug_ops):
-            await self._send(state, error_envelope(
-                message_id,
-                WireProtocolError(f"unknown op {op!r}")), status="error")
+        self._m_requests[op if op in OPS else _UNKNOWN_OP].add(1)
+        try:
+            args, tenant, priority, budget = self._envelope(
+                state, op, message)
+        except WireProtocolError as exc:
+            await self._send(state, error_envelope(message_id, exc),
+                             status="error")
             return
-        self._m_requests[op].add(1)
         if op == "auth":
-            await self._handle_auth(state, message_id, message.get("args") or {})
+            await self._handle_auth(state, message_id, args)
             return
         if self.auth is not None:
             session = message.get("session")
@@ -428,35 +406,58 @@ class WireServer:
                     WireProtocolError("authentication required")),
                     status="error")
                 return
-        args = message.get("args") or {}
-        nops = len(args.get("ops", ())) if op == "batch" else 1
-        tenant = message.get("tenant") or state.tenant or self._fallback_tenant
-        if tenant not in self.tenants:
-            tenant = self._fallback_tenant
-        priority = int(message.get("priority",
-                                   _OP_PRIORITY.get(op, BATCH)))
-        budget = float(message.get("budget", self.deadlines[priority]))
-        now = self._clock()
-        self._seq += 1
+        ops = args.get("ops") if op == "batch" else None
+        deadline, seq = self.admission.stamp(priority, budget)
         request = WireRequest(
             conn=state, message_id=message_id, op=op, args=args,
-            tenant=tenant, priority=priority,
-            deadline=Deadline(now, budget), submitted=now,
-            seq=self._seq, nops=max(1, nops))
-        if self.enabled:
-            if self._writes_in(request) and self.brownout.rejects_writes():
-                await self._reject(request, "brownout")
-                return
-            if not self.buckets[tenant].try_take(request.nops):
-                await self._reject(request, "rate_limited")
-                return
-        if not self.queue.offer(request):
-            await self._reject(request, "queue_full")
+            tenant=tenant, priority=priority, deadline=deadline,
+            submitted=deadline.start, seq=seq,
+            nops=max(1, len(ops)) if isinstance(ops, list) else 1)
+        reason = self.admission.admit(
+            request, self._writes_in(request), request.nops)
+        if reason is not None:
+            self._m_rejected[reason].add(1)
+            await self._respond_error_kind(
+                request, "rejected", f"request rejected: {reason}",
+                status="rejected", reason=reason)
             return
         self._arrival.set()
         # Queue-side drops (expired / shed) surfaced by a concurrent pop
         # must be answered promptly even if every worker is busy.
         await self._flush_drops()
+
+    def _envelope(self, state: _ConnState, op: Any,
+                  message: dict) -> tuple[dict, str, int, Optional[float]]:
+        """``(args, tenant, priority, budget)`` of one message, validated.
+
+        A ``None`` budget means the class default; an unknown tenant name
+        falls back to the default tenant.  An unknown or gated op, or a
+        field of the wrong type or range, raises :class:`WireProtocolError`.
+        """
+        if op not in OPS or (op == "stall" and not self.debug_ops):
+            raise WireProtocolError(f"unknown op {op!r}")
+        args = message.get("args") or {}
+        if not isinstance(args, dict):
+            raise WireProtocolError(f"args must be an object, not {args!r}")
+        tenant = message.get("tenant")
+        if tenant is not None and not isinstance(tenant, str):
+            raise WireProtocolError(f"tenant must be a string, not {tenant!r}")
+        tenant = tenant or state.tenant or self._fallback_tenant
+        if tenant not in self.tenants:
+            tenant = self._fallback_tenant
+        priority = message.get("priority", _OP_PRIORITY.get(op, BATCH))
+        if type(priority) is not int or priority not in PRIORITY_NAMES:
+            raise WireProtocolError(
+                f"priority must be one of {sorted(PRIORITY_NAMES)}, "
+                f"not {priority!r}")
+        if "budget" not in message:
+            return args, tenant, priority, None
+        budget = message["budget"]
+        if (isinstance(budget, bool) or not isinstance(budget, (int, float))
+                or not math.isfinite(budget)):
+            raise WireProtocolError(
+                f"budget must be a real number of seconds, not {budget!r}")
+        return args, tenant, priority, float(budget)
 
     def _writes_in(self, request: WireRequest) -> bool:
         """Whether the request carries any write op (brownout policy)."""
@@ -486,8 +487,9 @@ class WireServer:
                              status="error")
             return
         state.principal = session.subject
-        if args.get("tenant") and args["tenant"] in self.tenants:
-            state.tenant = args["tenant"]
+        tenant = args.get("tenant")
+        if isinstance(tenant, str) and tenant in self.tenants:
+            state.tenant = tenant
         self._m_sessions.add(1)
         await self._send(state, {
             "id": message_id, "ok": True,
@@ -495,26 +497,11 @@ class WireServer:
                        "subject": session.subject,
                        "expires": session.expires}}, status="ok")
 
-    async def _reject(self, request: WireRequest, reason: str) -> None:
-        self._m_rejected[reason].add(1)
-        await self._respond_error_kind(
-            request, "rejected", f"request rejected: {reason}",
-            status="rejected", reason=reason)
-
-    # -- queue callbacks -----------------------------------------------------
-    def _on_queue_drop(self, request: WireRequest, reason: str) -> None:
-        # Called synchronously inside queue.pop(); the response needs an
-        # await, so park it for the next _flush_drops() call.
-        self._drops.append((request, reason))
-
-    def _on_dequeue(self, request: WireRequest, sojourn: float) -> None:
-        if self.enabled:
-            self.brownout.observe(sojourn)
-
+    # -- queue drops ---------------------------------------------------------
     async def _flush_drops(self) -> None:
         """Answer requests the admission queue dropped (expired / shed)."""
         while self._drops:
-            request, reason = self._drops.pop(0)
+            request, reason = self._drops.popleft()
             if reason == "expired":
                 await self._respond_error_kind(
                     request, "deadline",
@@ -529,15 +516,15 @@ class WireServer:
     async def _worker(self) -> None:
         """One service worker: drain the queue, idle-wait on arrivals."""
         while self._running:
-            request = self.queue.pop()
-            await self._flush_drops()
+            request = self.admission.pop()
             if request is None:
+                await self._flush_drops()
                 self._arrival.clear()
                 if self.queue.depth == 0 and self._running:
                     await self._arrival.wait()
                 continue
-            self._in_flight += 1
             try:
+                await self._flush_drops()
                 await self._serve(request)
             except asyncio.CancelledError:
                 # Cancelled mid-service (stop()): the request still gets
@@ -547,7 +534,7 @@ class WireServer:
                     status="closed")
                 raise
             finally:
-                self._in_flight -= 1
+                self.admission.release()
             if self.queue.depth <= self.low_water:
                 self._space.set()
 
@@ -701,7 +688,6 @@ class WireServer:
         if request.finished:
             return
         request.finished = True
-        request.outcome = "ok"
         await self._send(request.conn,
                          {"id": request.message_id, "ok": True,
                           "result": result}, status="ok")
@@ -712,7 +698,6 @@ class WireServer:
         if request.finished:
             return
         request.finished = True
-        request.outcome = status
         envelope: dict = {"id": request.message_id, "ok": False,
                           "kind": kind, "error": message}
         if reason is not None:
@@ -732,36 +717,23 @@ class WireServer:
         except (ConnectionError, OSError):
             self._m_send_failures.add(1)
 
-    # -- observers -----------------------------------------------------------
-    def _on_brownout_change(self, old: int, new: int, signal: float) -> None:
-        self._hub.bus.publish(
-            "frontdoor.brownout", subject=self.name,
-            severity=WARNING if new > old else INFO,
-            old=TIER_NAMES[old], new=TIER_NAMES[new], signal=signal)
-
     # -- accounting ----------------------------------------------------------
     def accounting(self) -> dict:
         """The zero-silent-loss balance sheet at message granularity.
 
-        ``silent_loss`` is decoded requests minus terminal responses minus
+        ``silent_loss`` is decoded messages minus terminal responses minus
         work still queued or in service; it must be 0 at all times.
-        (``auth`` and malformed-op messages respond inline and appear in
-        both sides of the balance.)
+        Messages answered inline — ``auth``, an unknown or gated op, a bad
+        envelope field, a refused session — appear on both sides of the
+        balance.
         """
         reg = self._hub.registry
         received = int(reg.total("wire.requests_total"))
         responded = int(reg.total("wire.responses_total"))
-        # Responses to messages that never became requests (unknown op,
-        # auth-required, bad session) still count on the response side;
-        # unknown-op messages are not counted in requests_total, so track
-        # the balance over admitted work only.
         return {
             "received": received,
             "responded": responded,
-            "queued": self.queue.depth,
-            "in_flight": self._in_flight,
-            "silent_loss": (received - responded - self.queue.depth
-                            - self._in_flight),
+            **self.admission.balance(received, responded),
         }
 
     def stats(self) -> dict:
@@ -793,4 +765,5 @@ class WireServer:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<WireServer {self.name} {self.host}:{self.port} "
-                f"queued={self.queue.depth} in_flight={self._in_flight}>")
+                f"queued={self.queue.depth} "
+                f"in_flight={self.admission.in_flight}>")

@@ -144,22 +144,6 @@ class FacilityConfig:
     frontdoor_queue_capacity: int = 256
     #: Multiplier on tenant client counts *and* rate limits (tiny CI arms).
     frontdoor_scale: float = 1.0
-    #: CoDel-style shed controller: sojourn target and escalation interval.
-    frontdoor_codel_target: float = 0.5
-    frontdoor_codel_interval: float = 2.0
-    #: Queue-delay level (seconds) the brownout signal is normalised to.
-    frontdoor_brownout_target: float = 1.0
-    #: Service-time model: overhead + nbytes / bandwidth per attempt.
-    frontdoor_service_overhead: float = 0.05
-    frontdoor_service_bandwidth: float = 50 * units.MB
-    #: Deadline budgets (seconds) by priority class (interactive, batch, bulk).
-    frontdoor_deadlines: tuple[float, float, float] = (4.0, 15.0, 60.0)
-    #: Bound of the door's private dead-letter queue.
-    frontdoor_dlq_capacity: int | None = 512
-    #: The door's own breaker board (gentler than the facility board).
-    frontdoor_breaker_threshold: int = 6
-    frontdoor_breaker_reset: float = 20.0
-    frontdoor_breaker_probe_timeout: float = 10.0
 
     # -- telemetry spine ----------------------------------------------------------------
     #: Master switch: when False the metrics registry and event bus become

@@ -300,16 +300,6 @@ class Facility:
             enabled=cfg.frontdoor_enabled,
             workers=cfg.frontdoor_workers,
             queue_capacity=cfg.frontdoor_queue_capacity,
-            codel_target=cfg.frontdoor_codel_target,
-            codel_interval=cfg.frontdoor_codel_interval,
-            brownout_target=cfg.frontdoor_brownout_target,
-            service_overhead=cfg.frontdoor_service_overhead,
-            service_bandwidth=cfg.frontdoor_service_bandwidth,
-            deadlines=cfg.frontdoor_deadlines,
-            dlq_capacity=cfg.frontdoor_dlq_capacity,
-            breaker_threshold=cfg.frontdoor_breaker_threshold,
-            breaker_reset=cfg.frontdoor_breaker_reset,
-            breaker_probe_timeout=cfg.frontdoor_breaker_probe_timeout,
         )
 
         # -- facility-level gauges ------------------------------------------------

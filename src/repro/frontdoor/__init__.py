@@ -15,6 +15,7 @@ from repro.frontdoor.admission import (
     TokenBucket,
 )
 from repro.frontdoor.brownout import TIER_NAMES, BrownoutController
+from repro.frontdoor.core import REJECT_REASONS, AdmissionCore
 from repro.frontdoor.drill import DrillResult, PhaseStat, run_overload_drill
 from repro.frontdoor.loadgen import LoadGenerator
 from repro.frontdoor.request import (
@@ -29,9 +30,10 @@ from repro.frontdoor.request import (
     default_tenants,
     scaled_tenants,
 )
-from repro.frontdoor.service import REJECT_REASONS, FrontDoor
+from repro.frontdoor.service import FrontDoor
 
 __all__ = [
+    "AdmissionCore",
     "AdmissionQueue",
     "BrownoutController",
     "BATCH",

@@ -142,25 +142,16 @@ class _TenantQueue:
 
 
 class AdmissionQueue:
-    """Bounded per-tenant queues with weighted fair dequeue and shedding.
+    """Bounded per-tenant queues with weighted fair dequeue.
 
     ``offer`` returns ``False`` when the tenant's queue is full (the caller
-    rejects and accounts the request).  ``pop`` applies, in order: expired-
-    deadline fail-fast, the shed controller, then start-time fair queueing
-    across tenants.  Dropped requests are reported through ``on_drop`` with
-    a reason (``"expired"`` or ``"shed"``) so no request ever vanishes.
+    rejects and accounts the request); ``pop`` serves start-time fair
+    queueing across tenants.  Deadline fail-fast and shedding at pop are
+    the :class:`~repro.frontdoor.core.AdmissionCore`'s policy.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        tenants: Dict[str, float],
-        capacity: int,
-        shed: Optional[ShedController] = None,
-        on_drop: Optional[Callable[[Request, str], None]] = None,
-        on_dequeue: Optional[Callable[[Request, float], None]] = None,
-        fail_fast_expired: bool = True,
-    ):
+    def __init__(self, clock: Callable[[], float], tenants: Dict[str, float],
+                 capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         for name, weight in sorted(tenants.items()):
@@ -168,12 +159,6 @@ class AdmissionQueue:
                 raise ValueError(f"tenant {name!r} weight must be >= 1")
         self._clock = clock
         self.capacity = capacity
-        self.shed = shed
-        self._on_drop = on_drop
-        self._on_dequeue = on_dequeue
-        #: When False (the naive ablation arm) expired requests are handed
-        #: to workers anyway — the server "doesn't know" about deadlines.
-        self.fail_fast_expired = fail_fast_expired
         self._tenants = {
             name: _TenantQueue(name, weight, capacity)
             for name, weight in sorted(tenants.items())
@@ -203,44 +188,19 @@ class AdmissionQueue:
             self.peak_depth = self.depth
         return True
 
-    def _drop(self, request: Request, reason: str) -> None:
-        if self._on_drop is not None:
-            self._on_drop(request, reason)
-
     def pop(self) -> Optional[Request]:
-        """Dequeue the next admissible request under fair sharing.
-
-        Expired and shed requests are consumed (and reported via
-        ``on_drop``) until an admissible one surfaces or the queues drain.
-        """
-        now = self._clock()
-        while self.depth > 0:
-            best: Optional[_TenantQueue] = None
-            for name in self._order:
-                tq = self._tenants[name]
-                if tq.depth == 0:
-                    continue
-                if best is None or tq.vtime < best.vtime:
-                    best = tq
-            if best is None:
-                return None
-            request = best.pop()
-            self.depth -= 1
-            best.vtime += 1.0 / best.weight
-            self._global_vtime = best.vtime
-            if self.fail_fast_expired and request.deadline.expired(now):
-                self._drop(request, "expired")
-                continue
-            sojourn = now - request.enqueued
-            if self.shed is not None:
-                self.shed.observe(sojourn, now)
-                if self.shed.should_shed(request):
-                    self._drop(request, "shed")
-                    continue
-            if self._on_dequeue is not None:
-                self._on_dequeue(request, sojourn)
-            return request
-        return None
+        """Dequeue the next request under fair sharing (``None`` if empty)."""
+        best: Optional[_TenantQueue] = None
+        for name in self._order:
+            tq = self._tenants[name]
+            if tq.depth and (best is None or tq.vtime < best.vtime):
+                best = tq
+        if best is None:
+            return None
+        self.depth -= 1
+        best.vtime += 1.0 / best.weight
+        self._global_vtime = best.vtime
+        return best.pop()
 
     def drain(self) -> list[Request]:
         """Remove and return every queued request (drill finalisation)."""

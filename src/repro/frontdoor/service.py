@@ -1,7 +1,10 @@
 """The :class:`FrontDoor`: the facility's overload-safe request-serving layer.
 
-A pool of worker processes drains the admission queue and executes each
-request against the ADAL client.  The contract with clients:
+The simkit driver of the :class:`~repro.frontdoor.core.AdmissionCore`: the
+core decides admission, drops and brownout; this driver adds the
+simulated transport, a pool of worker processes that drain the core and
+execute each request against the ADAL client, and the service logic
+around that call.  The contract with clients:
 
 * every submitted request reaches exactly one terminal outcome
   (:data:`~repro.frontdoor.request.OUTCOMES`) — the zero-silent-loss
@@ -33,12 +36,10 @@ from repro.adal.errors import (
     ObjectExistsError,
     ObjectNotFoundError,
 )
-from repro.frontdoor.admission import AdmissionQueue, ShedController, TokenBucket
-from repro.frontdoor.brownout import TIER_NAMES, BrownoutController
+from repro.frontdoor.core import REJECT_REASONS, AdmissionCore
 from repro.frontdoor.request import (
     BATCH,
     OUTCOMES,
-    Deadline,
     Request,
     TenantSpec,
 )
@@ -49,11 +50,11 @@ from repro.resilience.policy import RetryPolicy
 from repro.resilience.timeout import with_timeout
 from repro.simkit.core import Simulator
 from repro.simkit.events import Event
-from repro.telemetry.events import INFO, WARNING
+from repro.telemetry.events import WARNING
 from repro.telemetry.hub import TelemetryHub
 
-#: Reject reasons the door can answer with (label pre-registration).
-REJECT_REASONS = ("rate_limited", "queue_full", "brownout")
+#: Terminal outcome of each queue-side drop reason.
+_DROP_OUTCOMES = {"expired": "timed_out", "shed": "shed"}
 
 
 class FrontDoor:
@@ -75,25 +76,10 @@ class FrontDoor:
         Worker processes draining the admission queue.
     queue_capacity:
         Bound of each tenant's admission queue.
-    codel_target, codel_interval:
-        Shed-controller knobs (seconds): sojourn target and escalation
-        interval.
-    brownout_target:
-        Queue-delay level (seconds) the brownout signal is normalised to.
     service_overhead, service_bandwidth:
         Service-time model: ``overhead + nbytes / bandwidth`` per attempt.
     retry_policy:
         Backend retry policy (default: 3 attempts, sub-second backoff).
-    breaker_threshold, breaker_reset, breaker_probe_timeout:
-        The door's own breaker board (gentler than the facility board, and
-        probe-timeout protected — see
-        :class:`~repro.resilience.breaker.CircuitBreaker`).
-    dlq, dlq_capacity:
-        Dead-letter queue for retry-exhausted requests; by default a
-        bounded private queue (eviction keeps drills memory-safe).
-    deadlines:
-        Default budgets (seconds) by priority class
-        (interactive, batch, bulk).
     on_terminal:
         Observer called ``(request, outcome)`` at every terminal outcome —
         the load generator's client-retry hook.
@@ -107,18 +93,9 @@ class FrontDoor:
         enabled: bool = True,
         workers: int = 4,
         queue_capacity: int = 256,
-        codel_target: float = 0.5,
-        codel_interval: float = 2.0,
-        brownout_target: float = 1.0,
         service_overhead: float = 0.05,
         service_bandwidth: float = 50e6,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 6,
-        breaker_reset: float = 20.0,
-        breaker_probe_timeout: float = 10.0,
-        dlq: Optional[DeadLetterQueue] = None,
-        dlq_capacity: Optional[int] = 512,
-        deadlines: tuple[float, float, float] = (4.0, 15.0, 60.0),
         on_terminal: Optional[Callable[[Request, str], None]] = None,
         name: str = "frontdoor",
     ):
@@ -130,7 +107,6 @@ class FrontDoor:
         self.enabled = enabled
         self.workers = workers
         self.tenants = {spec.name: spec for spec in tenants}
-        self.deadlines = deadlines
         self.service_overhead = service_overhead
         self.service_bandwidth = service_bandwidth
         self.policy = retry_policy or RetryPolicy(
@@ -139,32 +115,22 @@ class FrontDoor:
         self.on_terminal = on_terminal
         self.rng = sim.random.spawn(f"{name}.retry")
         self._hub = TelemetryHub.for_sim(sim)
-        self.shed = ShedController(target=codel_target, interval=codel_interval)
-        self.brownout = BrownoutController(
-            target=brownout_target, on_change=self._on_brownout_change)
-        self.queue = AdmissionQueue(
-            clock=lambda: sim.now,
-            tenants={spec.name: spec.weight for spec in tenants},
-            capacity=queue_capacity,
-            shed=self.shed if enabled else None,
-            on_drop=self._on_queue_drop,
-            on_dequeue=self._on_dequeue,
-            fail_fast_expired=enabled,
-        )
-        self.buckets = {
-            spec.name: TokenBucket(lambda: sim.now, spec.rate_limit, spec.burst)
-            for spec in tenants
-        }
+        self.admission = AdmissionCore(
+            lambda: sim.now, tenants, queue_capacity=queue_capacity,
+            codel_target=0.5, codel_interval=2.0, brownout_target=1.0,
+            deadlines=(4.0, 15.0, 60.0), on_drop=self._on_queue_drop,
+            bus=self._hub.bus, name=name, enabled=enabled)
+        self.queue = self.admission.queue
+        self.shed = self.admission.shed
+        self.brownout = self.admission.brownout
+        # The door's own breaker board is gentler than the facility board
+        # and probe-timeout protected; the DLQ bound keeps drills
+        # memory-safe.
         self.breakers = BreakerBoard(
-            clock=lambda: sim.now,
-            failure_threshold=breaker_threshold,
-            reset_timeout=breaker_reset,
-            probe_timeout=breaker_probe_timeout,
-        )
-        self.dlq = dlq if dlq is not None else DeadLetterQueue(
-            name=f"{name}-dlq", bus=self._hub.bus, capacity=dlq_capacity)
-        self._seq = 0
-        self._in_flight = 0
+            clock=lambda: sim.now, failure_threshold=6, reset_timeout=20.0,
+            probe_timeout=10.0)
+        self.dlq = DeadLetterQueue(
+            name=f"{name}-dlq", bus=self._hub.bus, capacity=512)
         self._arrival: Optional[Event] = None
         self._build_instruments()
         for index in range(workers):
@@ -219,7 +185,7 @@ class FrontDoor:
                      lambda: float(self.queue.peak_depth),
                      "High-water mark of total queue depth")
         reg.gauge_fn("frontdoor.in_flight",
-                     lambda: float(self._in_flight),
+                     lambda: float(self.admission.in_flight),
                      "Requests currently being served")
         reg.gauge_fn("frontdoor.brownout_tier",
                      lambda: float(self.brownout.tier),
@@ -248,14 +214,11 @@ class FrontDoor:
         """Build a request stamped with the class's deadline budget."""
         if tenant not in self.tenants:
             raise ValueError(f"unknown tenant {tenant!r}")
-        now = self.sim.now
-        if budget is None:
-            budget = self.deadlines[priority]
-        self._seq += 1
+        deadline, seq = self.admission.stamp(priority, budget)
         return Request(
             tenant=tenant, op=op, url=url, nbytes=float(nbytes),
-            priority=priority, deadline=Deadline(now, budget),
-            submitted=now, seq=self._seq, retries=retries)
+            priority=priority, deadline=deadline,
+            submitted=deadline.start, seq=seq, retries=retries)
 
     # -- admission -----------------------------------------------------------
     def submit(self, request: Request) -> bool:
@@ -266,15 +229,10 @@ class FrontDoor:
         measures.
         """
         self._m_requests[request.tenant].add(1)
-        if self.enabled:
-            if request.op == "put" and self.brownout.rejects_writes():
-                self._reject(request, "brownout")
-                return False
-            if not self.buckets[request.tenant].try_take():
-                self._reject(request, "rate_limited")
-                return False
-        if not self.queue.offer(request):
-            self._reject(request, "queue_full")
+        reason = self.admission.admit(request, writes=request.op == "put")
+        if reason is not None:
+            self._m_rejected[(request.tenant, reason)].add(1)
+            self._finish(request, "rejected")
             return False
         self._m_admitted[request.tenant].add(1)
         if request.retries > 0:
@@ -282,29 +240,9 @@ class FrontDoor:
         self._notify_arrival()
         return True
 
-    def _reject(self, request: Request, reason: str) -> None:
-        self._m_rejected[(request.tenant, reason)].add(1)
-        self._finish(request, "rejected")
-
-    # -- queue callbacks -----------------------------------------------------
     def _on_queue_drop(self, request: Request, reason: str) -> None:
         """Queue-side drops: expired budgets fail fast, sheds are typed."""
-        if reason == "expired":
-            self._finish(request, "timed_out")
-        else:
-            self._finish(request, "shed")
-
-    def _on_dequeue(self, request: Request, sojourn: float) -> None:
-        self._h_queue_delay.observe(sojourn)
-        if self.enabled:
-            self.brownout.observe(sojourn)
-        self._in_flight += 1
-
-    def _on_brownout_change(self, old: int, new: int, signal: float) -> None:
-        self._hub.bus.publish(
-            "frontdoor.brownout", subject=self.name,
-            severity=WARNING if new > old else INFO,
-            old=TIER_NAMES[old], new=TIER_NAMES[new], signal=signal)
+        self._finish(request, _DROP_OUTCOMES[reason])
 
     # -- workers -------------------------------------------------------------
     def _wait_arrival(self) -> Event:
@@ -319,10 +257,11 @@ class FrontDoor:
     def _worker(self) -> Generator:
         """One service worker: drain the queue, idle-wait on arrivals."""
         while True:
-            request = self.queue.pop()
+            request = self.admission.pop()
             if request is None:
                 yield self._wait_arrival()
                 continue
+            self._h_queue_delay.observe(self.sim.now - request.enqueued)
             yield from self._serve(request)
 
     def _service_time(self, request: Request, degraded: bool) -> float:
@@ -428,7 +367,7 @@ class FrontDoor:
                 priority=request.priority_name, seq=request.seq,
                 shed_floor=self.shed.shed_floor)
         if in_flight:
-            self._in_flight -= 1
+            self.admission.release()
         if self.on_terminal is not None:
             self.on_terminal(request, outcome)
 
@@ -460,14 +399,10 @@ class FrontDoor:
         terminal = {o: 0 for o in OUTCOMES}
         for labels, instrument in reg.samples("frontdoor.outcomes_total"):
             terminal[labels["outcome"]] += int(instrument.value)
-        finished = sum(terminal.values())
         return {
             "submitted": submitted,
             "terminal": terminal,
-            "queued": self.queue.depth,
-            "in_flight": self._in_flight,
-            "silent_loss": (submitted - finished - self.queue.depth
-                            - self._in_flight),
+            **self.admission.balance(submitted, sum(terminal.values())),
         }
 
     def stats(self) -> dict:
@@ -490,4 +425,5 @@ class FrontDoor:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<FrontDoor {self.name} enabled={self.enabled} "
-                f"queued={self.queue.depth} in_flight={self._in_flight}>")
+                f"queued={self.queue.depth} "
+                f"in_flight={self.admission.in_flight}>")

@@ -23,6 +23,8 @@ from repro.adal.wire import (
     WireClient,
     WireProtocolError,
     WireServer,
+    read_frame,
+    write_frame,
 )
 from repro.frontdoor.request import TenantSpec
 from repro.metadata.errors import UnknownDatasetError, WriteOnceError
@@ -130,6 +132,62 @@ class TestOperations:
                 await server.stop()
         info = asyncio.run(go())
         assert info["size"] == len(b"payload")
+
+
+async def _exchange(server, messages):
+    """Send raw messages on one connection; return each decoded reply."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    try:
+        replies = []
+        for message in messages:
+            await write_frame(writer, message)
+            replies.append(await read_frame(reader))
+        return replies
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class TestEnvelopeValidation:
+    def test_unknown_and_gated_ops_close_the_balance(self):
+        async def scenario(server, client):
+            replies = await _exchange(server, [
+                {"id": 1, "op": "vaporise"},
+                {"id": 2, "op": "stall", "args": {"seconds": 0.001}},
+                {"id": 3, "op": "ping"},
+            ])
+            return replies, server.accounting()
+        replies, acct = _run(scenario)
+        assert [r["kind"] for r in replies[:2]] == ["bad_request"] * 2
+        assert replies[2]["ok"]
+        assert acct["received"] == acct["responded"] == 3
+        assert acct["silent_loss"] == 0
+
+    @pytest.mark.parametrize("field", [
+        {"priority": 7},
+        {"priority": -1},
+        {"budget": "x"},
+        {"tenant": ["a"]},
+    ], ids=["priority-7", "priority-neg", "budget-str", "tenant-list"])
+    def test_bad_field_is_a_protocol_error_on_a_live_connection(self, field):
+        async def scenario(server, client):
+            replies = await _exchange(server, [
+                {"id": 1, "op": "ping", **field},
+                {"id": 2, "op": "ping"},
+            ])
+            return replies, server.accounting()
+        (bad, good), acct = _run(scenario)
+        assert bad["id"] == 1 and not bad["ok"]
+        assert bad["kind"] == "bad_request"
+        assert good["ok"]          # the connection stayed open
+        assert acct["silent_loss"] == 0
+
+    def test_unknown_tenant_name_falls_back(self):
+        async def scenario(server, client):
+            return await _exchange(server, [
+                {"id": 1, "op": "ping", "tenant": "ghost"}])
+        [reply] = _run(scenario)
+        assert reply["ok"]
 
 
 class TestBatching:
@@ -319,5 +377,3 @@ class TestLifecycle:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             WireServer(_store(), workers=0)
-        with pytest.raises(ValueError):
-            WireServer(_store(), high_water=10, low_water=10)

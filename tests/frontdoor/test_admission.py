@@ -150,39 +150,6 @@ class TestAdmissionQueue:
         # Fair interleave from here on, not 10 b's in a row.
         assert next10.count("b") == 5
 
-    def test_expired_requests_fail_fast_via_on_drop(self, clock):
-        drops = []
-        queue = self._queue(clock, on_drop=lambda r, why: drops.append(why))
-        queue.offer(_request("a", clock, budget=5.0))
-        clock.now = 10.0
-        queue.offer(_request("a", clock, budget=5.0, seq=1))
-        popped = queue.pop()
-        assert popped is not None and popped.seq == 1
-        assert drops == ["expired"]
-
-    def test_naive_arm_hands_expired_requests_to_workers(self, clock):
-        queue = self._queue(clock, fail_fast_expired=False)
-        queue.offer(_request("a", clock, budget=5.0))
-        clock.now = 10.0
-        assert queue.pop() is not None   # the server "doesn't know"
-
-    def test_shed_controller_drops_at_the_floor(self, clock):
-        drops = []
-        shed = ShedController(target=0.5, interval=1.0)
-        queue = self._queue(clock, shed=shed,
-                            on_drop=lambda r, why: drops.append(why),
-                            capacity=100)
-        for seq in range(4):
-            queue.offer(_request("a", clock, priority=BULK, seq=seq))
-            queue.offer(_request("a", clock, priority=INTERACTIVE, seq=seq))
-        clock.now = 5.0   # every queued request now has sojourn 5 > target
-        served = [queue.pop() for _ in range(4)]
-        # Interactive drains first, priming the controller without shedding.
-        assert all(r.priority == INTERACTIVE for r in served)
-        clock.now = 6.5   # past the escalation interval: bulk backlog is shed
-        assert queue.pop() is None
-        assert drops == ["shed"] * 4
-
     def test_drain_returns_everything(self, clock):
         queue = self._queue(clock)
         for seq in range(3):
